@@ -2,7 +2,7 @@
 
 Runs the Fig 10 quick workload set under the three architectures at the
 paper-scale GPU configuration (``GPUConfig.titan_v``: 80 SMs) under
-both engines — the event-driven SoA fastpath (default) and the
+both engines — the event-driven fastpath (default) and the
 per-cycle polling reference (``REPRO_NO_FASTPATH=1``) — asserts the two
 produce identical memory digests, cycle counts, and metrics, and
 appends the timing ratios to ``benchmarks/results/BENCH_hotloop.json``.
@@ -17,10 +17,10 @@ which are identical for both engines), best of ``BENCH_REPEATS`` runs
 — both engines are deterministic, so the minimum is the least-noise
 estimate on a frequency-scaling host.  The headline is the DAB geomean
 — DAB is the paper's architecture, and its flush controller is the
-subsystem the polling loop re-examines every cycle (locally ~3.0x with
-the SoA warp core, up from ~2.6x for the PR 5 event engine; baseline
-and GPUDet cells run ~1.2-1.4x because their remaining cost is
-instruction execution shared by both engines).  The committed floors
+subsystem the polling loop re-examines every cycle (locally ~2.9-3.0x
+with the issue agenda of DESIGN §16, up from ~2.6x for the original
+event engine; baseline and GPUDet cells run ~1.2-1.5x because their
+remaining cost is instruction execution shared by both engines).  The committed floors
 (DAB 1.5x, baseline 1.1x) are set well under the local measurements to
 tolerate noisy CI machines.
 
@@ -48,9 +48,9 @@ BENCH_SCHEMA = "repro.bench_hotloop/v1"
 #: Committed CI floor for the DAB geomean speedup (headline target: 3x;
 #: see module docstring for the local measurement).
 DAB_GEOMEAN_FLOOR = 1.5
-#: Committed CI floor for the baseline-architecture geomean: the SoA
-#: warp core must pay for itself even where there is no flush
-#: controller to skip (the conservative floor tolerates noisy CI; see
+#: Committed CI floor for the baseline-architecture geomean: the
+#: event-driven engine must pay for itself even where there is no
+#: flush controller to skip (the conservative floor tolerates noisy CI; see
 #: the module docstring for the local measurement).
 BASELINE_GEOMEAN_FLOOR = 1.1
 #: Timed repetitions per (arch, workload, engine) cell; the reported

@@ -74,11 +74,10 @@ class Warp:
     __slots__ = (
         "uid", "sm_id", "scheduler_id", "hw_slot", "batch",
         "cta", "warp_id_in_cta", "warp_size", "program", "regs", "stack",
-        "_ready_cycle", "_outstanding_loads", "_outstanding_stores",
-        "_outstanding_atoms", "_at_barrier", "_exited", "dyn_instrs",
+        "_ready_cycle", "_outstanding_loads", "outstanding_stores",
+        "_outstanding_atoms", "_at_barrier", "exited", "dyn_instrs",
         "dyn_atomics", "sleep_until", "launched_cycle", "fence_arrived_at",
-        "_buffered_reds", "_red_cache", "capture_addrs",
-        "_slabs", "_row", "_col",
+        "buffered_reds", "_red_cache", "capture_addrs", "_agenda",
     )
 
     def __init__(
@@ -111,21 +110,19 @@ class Warp:
         self.regs: Dict[str, np.ndarray] = {}
         self._init_special_registers(first_thread, lanes, in_cta)
 
-        # Timing-model state (owned by the SM).  Unbound warps — the ISA
-        # oracle, the model checker, unit tests — store it in these
-        # instance fields; warps placed into an SM slot are bound to the
-        # GPU-wide SoA slabs (repro.sim.soa) and the public properties
-        # below route reads/writes into their (row, col) cell instead.
-        self._slabs = None
-        self._row = 0
-        self._col = 0
+        # Timing-model state (owned by the SM).  Both issue engines read
+        # these fields directly; a warp bound to the fast engine's issue
+        # agenda additionally reports its eligibility transitions there.
+        self._agenda = None
         self._ready_cycle = 0
         self._outstanding_loads = 0
-        self._outstanding_stores = 0
+        self.outstanding_stores = 0
         self._outstanding_atoms = 0
         self._at_barrier = False
-        self._exited = False
-        self._buffered_reds = 0
+        self.exited = False
+        #: reds inserted into a DAB buffer since the last flush; a CTA
+        #: barrier whose warps all have 0 here needs no fence flush.
+        self.buffered_reds = 0
         self.sleep_until = 0
         self.launched_cycle = 0
         self.fence_arrived_at = 0
@@ -156,39 +153,30 @@ class Warp:
                 self.regs[name] = np.full(self.warp_size, np.float32(value), dtype=np.float32)
 
     # ------------------------------------------------------------------
-    # SoA facade (DESIGN §16), write-through: the instance fields are
-    # always current (so scalar reads cost one property hop and plain
-    # int/bool come back — no numpy scalars on determinism surfaces),
-    # and every setter mirrors the new value into the bound slab cell
-    # so the vector engine's row gathers observe identical state.
-    # Standalone warps (oracle, model checker, unit tests) never bind
-    # and skip the mirror entirely.
+    # Wake-calendar hooks (DESIGN §16).  The four fields that decide
+    # whether a warp can wake by time alone are properties: on a warp
+    # bound to the fast engine's IssueAgenda, every transition into
+    # eligibility (live, not at a barrier, nothing outstanding) pushes
+    # its wake time onto the lazy ``warp_wake`` heap, which
+    # GPU._earliest_warp_wake_fast validates at peek.  Unbound warps
+    # (polling engine, ISA oracle, model checker, unit tests) skip it.
     # ------------------------------------------------------------------
-    def bind_slab(self, slabs, row: int, col: int) -> None:
-        """Adopt slab cell (row, col) as the mirror of timing state."""
-        slabs.ready_cycle[row, col] = self._ready_cycle
-        slabs.out_loads[row, col] = self._outstanding_loads
-        slabs.out_stores[row, col] = self._outstanding_stores
-        slabs.out_atoms[row, col] = self._outstanding_atoms
-        slabs.buffered_reds[row, col] = self._buffered_reds
-        slabs.at_barrier[row, col] = self._at_barrier
-        st = self.stack
-        slabs.active[row, col] = not (self._exited or st.done)
-        slabs.pc[row, col] = st.pc if not st.done else 0
-        self._slabs = slabs
-        self._row = row
-        self._col = col
-        if (slabs.active[row, col] and not self._at_barrier
-                and self._outstanding_loads == 0
-                and self._outstanding_atoms == 0):
-            heappush(slabs.warp_wake, (self._ready_cycle, row, col))
+    def bind_agenda(self, agenda) -> None:
+        """Report this warp's eligibility transitions to ``agenda``."""
+        self._agenda = agenda
+        self._push_wake_if_eligible()
 
-    def unbind_slab(self) -> None:
-        """Detach from the slabs (called before the hardware slot is
-        reused — late store acks may still land on this warp object,
-        and must not write through to the new occupant's cell).  The
-        instance fields are already current (write-through)."""
-        self._slabs = None
+    def unbind_agenda(self) -> None:
+        """Stop reporting (called before the hardware slot is reused —
+        late store acks may still land on this warp object)."""
+        self._agenda = None
+
+    def _push_wake_if_eligible(self) -> None:
+        if (self._agenda is not None and not self._at_barrier
+                and self._outstanding_loads == 0
+                and self._outstanding_atoms == 0 and not self.done):
+            heappush(self._agenda.warp_wake,
+                     (self._ready_cycle, self.uid, self))
 
     @property
     def ready_cycle(self) -> int:
@@ -197,17 +185,7 @@ class Warp:
     @ready_cycle.setter
     def ready_cycle(self, v: int) -> None:
         self._ready_cycle = v
-        s = self._slabs
-        if s is not None:
-            r, c = self._row, self._col
-            s.ready_cycle[r, c] = v
-            # Lazy wake calendar: any time an *eligible* warp (live,
-            # not at a barrier, nothing outstanding) gains a wake time
-            # it is pushed; GPU._earliest_warp_wake_fast validates at
-            # peek and discards superseded entries.
-            if (not self._at_barrier and self._outstanding_loads == 0
-                    and self._outstanding_atoms == 0 and s.active[r, c]):
-                heappush(s.warp_wake, (v, r, c))
+        self._push_wake_if_eligible()
 
     @property
     def outstanding_loads(self) -> int:
@@ -216,24 +194,7 @@ class Warp:
     @outstanding_loads.setter
     def outstanding_loads(self, v: int) -> None:
         self._outstanding_loads = v
-        s = self._slabs
-        if s is not None:
-            r, c = self._row, self._col
-            s.out_loads[r, c] = v
-            if (v == 0 and not self._at_barrier
-                    and self._outstanding_atoms == 0 and s.active[r, c]):
-                heappush(s.warp_wake, (self._ready_cycle, r, c))
-
-    @property
-    def outstanding_stores(self) -> int:
-        return self._outstanding_stores
-
-    @outstanding_stores.setter
-    def outstanding_stores(self, v: int) -> None:
-        self._outstanding_stores = v
-        s = self._slabs
-        if s is not None:
-            s.out_stores[self._row, self._col] = v
+        self._push_wake_if_eligible()
 
     @property
     def outstanding_atoms(self) -> int:
@@ -242,13 +203,7 @@ class Warp:
     @outstanding_atoms.setter
     def outstanding_atoms(self, v: int) -> None:
         self._outstanding_atoms = v
-        s = self._slabs
-        if s is not None:
-            r, c = self._row, self._col
-            s.out_atoms[r, c] = v
-            if (v == 0 and not self._at_barrier
-                    and self._outstanding_loads == 0 and s.active[r, c]):
-                heappush(s.warp_wake, (self._ready_cycle, r, c))
+        self._push_wake_if_eligible()
 
     @property
     def at_barrier(self) -> bool:
@@ -257,42 +212,12 @@ class Warp:
     @at_barrier.setter
     def at_barrier(self, v: bool) -> None:
         self._at_barrier = v
-        s = self._slabs
-        if s is not None:
-            r, c = self._row, self._col
-            s.at_barrier[r, c] = v
-            if (not v and self._outstanding_loads == 0
-                    and self._outstanding_atoms == 0 and s.active[r, c]):
-                heappush(s.warp_wake, (self._ready_cycle, r, c))
-
-    @property
-    def buffered_reds(self) -> int:
-        """Reds inserted into a DAB buffer since the last flush; a CTA
-        barrier whose warps all have 0 here needs no fence flush."""
-        return self._buffered_reds
-
-    @buffered_reds.setter
-    def buffered_reds(self, v: int) -> None:
-        self._buffered_reds = v
-        s = self._slabs
-        if s is not None:
-            s.buffered_reds[self._row, self._col] = v
-
-    @property
-    def exited(self) -> bool:
-        return self._exited
-
-    @exited.setter
-    def exited(self, v: bool) -> None:
-        self._exited = v
-        s = self._slabs
-        if s is not None and v:
-            s.active[self._row, self._col] = False
+        self._push_wake_if_eligible()
 
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        return self._exited or self.stack.done
+        return self.exited or self.stack.done
 
     @property
     def pc(self) -> int:
@@ -424,23 +349,7 @@ class Warp:
 
     # ------------------------------------------------------------------
     def step(self, mem: GlobalMemory) -> StepResult:
-        """Execute one instruction functionally; advance the SIMT stack.
-
-        The slab ``pc``/``active`` cells are refreshed here (not in the
-        SM) because GPUDet's serial commit mode steps warps directly,
-        bypassing ``SM._issue``.
-        """
-        result = self._step(mem)
-        slabs = self._slabs
-        if slabs is not None:
-            st = self.stack
-            if st.done:
-                slabs.active[self._row, self._col] = False
-            else:
-                slabs.pc[self._row, self._col] = st.pc
-        return result
-
-    def _step(self, mem: GlobalMemory) -> StepResult:
+        """Execute one instruction functionally; advance the SIMT stack."""
         if self.done:
             raise RuntimeError("step() on a finished warp")
         ins = self.program.instrs[self.stack.pc]

@@ -513,8 +513,13 @@ def _bench_section(db: RunDB) -> str:
             series = []
             for k, label in (("parallel_speedup", "parallel vs serial"),
                              ("warm_speedup", "warm cache vs serial")):
+                # A parallel speedup taken with fewer CPUs than workers
+                # measures oversubscription, not the sweep engine; older
+                # entries still carry one, so skip them here.
                 pts = [(f"run {i + 1}", float(e[k]))
-                       for i, e in enumerate(entries) if k in e]
+                       for i, e in enumerate(entries) if k in e
+                       and (k != "parallel_speedup"
+                            or e.get("cpu_count", 0) >= e.get("jobs", 0))]
                 if pts:
                     series.append((label, pts))
             out.append(svg_line_chart(series, "sweep speedup (×)",

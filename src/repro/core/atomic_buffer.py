@@ -108,23 +108,18 @@ class AtomicBuffer:
         self._entries: List[BufferEntry] = []
         self._index: Dict[Tuple[int, str], int] = {}  # (addr, opcode) -> entry idx
         self._full = False
-        # Optional SoA mirror (repro.sim.soa): the GPU-wide occupancy /
-        # sticky-full vectors plus the plain-int nonempty/full counters
-        # the fast engine's trigger queries read.  None for standalone
-        # buffers (unit tests).
-        self._slabs = None
-        self._slab_idx = 0
+        # Optional issue agenda (repro.sim.agenda) whose GPU-wide
+        # nonempty/full counters the fast engine's trigger queries
+        # read.  None for the polling engine and standalone buffers.
+        self._agenda = None
 
-    def bind_slab(self, slabs, idx: int) -> None:
-        """Mirror occupancy and the sticky full bit into SoA state."""
-        self._slabs = slabs
-        self._slab_idx = idx
-        slabs.buf_occupancy[idx] = len(self._entries)
-        slabs.buf_full[idx] = self._full
+    def bind_agenda(self, agenda) -> None:
+        """Count this buffer in the agenda's nonempty/full counters."""
+        self._agenda = agenda
         if self._entries:
-            slabs.buf_nonempty_count += 1
+            agenda.buf_nonempty_count += 1
         if self._full:
-            slabs.buf_full_count += 1
+            agenda.buf_full_count += 1
 
     # -- state bits ------------------------------------------------------
     @property
@@ -173,10 +168,8 @@ class AtomicBuffer:
         """Record a blocked issue: sets the sticky full bit."""
         was_full = self._full
         self._full = True
-        if self._slabs is not None:
-            self._slabs.buf_full[self._slab_idx] = True
-            if not was_full:
-                self._slabs.buf_full_count += 1
+        if self._agenda is not None and not was_full:
+            self._agenda.buf_full_count += 1
         self.stats.reject_full += 1
         if self.obs is not None:
             self.obs.emit("buffer", "full", buf=self.name, sm=self.sm_id,
@@ -206,10 +199,8 @@ class AtomicBuffer:
                 )
             self.stats.inserts += 1
         occ = len(self._entries)
-        if self._slabs is not None:
-            self._slabs.buf_occupancy[self._slab_idx] = occ
-            if was_empty and occ:
-                self._slabs.buf_nonempty_count += 1
+        if self._agenda is not None and was_empty and occ:
+            self._agenda.buf_nonempty_count += 1
         if self.inv is not None:
             self.inv.check_buffer_occupancy(self.name, occ, self.capacity)
         if occ > self.stats.max_occupancy:
@@ -253,13 +244,11 @@ class AtomicBuffer:
         self._index.clear()
         was_full = self._full
         self._full = False
-        if self._slabs is not None:
-            self._slabs.buf_occupancy[self._slab_idx] = 0
-            self._slabs.buf_full[self._slab_idx] = False
+        if self._agenda is not None:
             if n:
-                self._slabs.buf_nonempty_count -= 1
+                self._agenda.buf_nonempty_count -= 1
             if was_full:
-                self._slabs.buf_full_count -= 1
+                self._agenda.buf_full_count -= 1
         if n and self._m_flush_occ is not None:
             self._m_flush_occ.observe(n)
         if self.obs is not None and n:

@@ -33,6 +33,7 @@ from repro.memory.address import AddressMap
 from repro.memory.globalmem import CommitRecorder, GlobalMemory
 from repro.memory.partition import MemoryPartition
 from repro.obs import Observability, ObsConfig
+from repro.sim.agenda import IssueAgenda
 from repro.sim.cluster import Cluster
 from repro.sim.dispatcher import CTADispatcher
 from repro.sim.nondet import JitterSource
@@ -160,25 +161,16 @@ class GPU:
 
             self.gpudet = GPUDetController(self, gpudet)
 
-        # GPU-wide SoA warp slabs (constructed before SMs: each SM
-        # slices its row block out of these; see repro.sim.soa).
-        from repro.core.dab import BufferLevel
-        from repro.sim.soa import WarpSlabs
-
-        if dab is not None:
-            buffers_per_sm = (
-                config.max_warps_per_sm
-                if dab.buffer_level is BufferLevel.WARP
-                else config.num_schedulers_per_sm
-            )
-        else:
-            buffers_per_sm = 0
-        self.soa = WarpSlabs(
-            config.num_sms,
-            config.num_schedulers_per_sm,
-            config.warps_per_scheduler,
-            buffers_per_sm=buffers_per_sm,
-        )
+        # Event-driven issue engine (the default).  REPRO_NO_FASTPATH=1
+        # selects the original poll-every-cycle loop, kept verbatim as
+        # the differential reference; both engines must produce
+        # byte-identical metrics, traces, and digests.  Decided before
+        # the SMs are built: only the fast engine binds buffers and
+        # warps to the issue agenda.
+        self.fastpath = os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
+        #: the fast engine's calendars (constructed before SMs: each SM
+        #: owns a block of its per-scheduler rows; see repro.sim.agenda).
+        self.agenda = IssueAgenda(config.num_sms, config.num_schedulers_per_sm)
 
         self.sms: List[SM] = []
         self.clusters: List[Cluster] = []
@@ -227,11 +219,6 @@ class GPU:
         self.pending_store_acks = 0
         self.last_atomic_done = 0
 
-        # Event-driven issue engine (the default).  REPRO_NO_FASTPATH=1
-        # selects the original poll-every-cycle loop, kept verbatim as
-        # the differential reference; both engines must produce
-        # byte-identical metrics, traces, and digests.
-        self.fastpath = os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
         #: issue-phase executions (== polling-loop iterations).  The
         #: unit of bulk stall accounting: one stall record per stalled
         #: scheduler per epoch, exactly like the polling loop.
@@ -445,7 +432,7 @@ class GPU:
         if self.flush is not None:
             if self.flush.any_active:
                 return False
-            nonempty = (self.soa.buf_nonempty_count > 0 if self.fastpath
+            nonempty = (self.agenda.buf_nonempty_count > 0 if self.fastpath
                         else any(sm.any_buffer_nonempty() for sm in self.sms))
             if nonempty:
                 self.flush.request_drain_flush()
@@ -661,7 +648,7 @@ class GPU:
         prof = obs.profiler if obs is not None else None
         run_t0 = prof.start() if prof is not None else 0.0
         sms = self.sms
-        soa = self.soa
+        agenda = self.agenda
         while True:
             if self.cycle > limit:
                 raise SimulationError(f"exceeded {limit} cycles")
@@ -702,9 +689,9 @@ class GPU:
             epoch = self.epochs
             cycle = self.cycle
             issued = 0
-            if soa.wake_heap:
-                soa.pop_due(cycle)
-            vd = soa.visit_dirty
+            if agenda.wake_heap:
+                agenda.pop_due(cycle)
+            vd = agenda.visit_dirty
             if vd:
                 # Ascending SM order with lazy re-evaluation, exactly
                 # like the polling loop's `for sm in sms: if
@@ -797,11 +784,11 @@ class GPU:
 
     def _earliest_warp_wake_fast(self) -> Optional[int]:
         # Fastpath replacement for _earliest_warp_wake: peek the lazy
-        # per-warp wake heap (facade setters push on every eligibility
-        # transition; the peek validates entries against the slabs, so
-        # the result is exactly the vector scan's minimum).  No memo
-        # needed — a valid peek is a handful of scalar reads.
-        return self.soa.earliest_wake_heap(self.cycle)
+        # per-warp wake heap (the Warp setters push on every eligibility
+        # transition; the peek validates entries against the warps, so
+        # the result is exactly the scan's minimum).  No memo needed —
+        # a valid peek is a handful of attribute reads.
+        return self.agenda.earliest_wake_heap(self.cycle)
 
     # ------------------------------------------------------------------
     def _collect_result(self, label: str = "") -> SimResult:

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-import numpy as np
-
 from repro.arch.isa import OpClass
 from repro.arch.kernel import CTA, Kernel
 from repro.arch.warp import Warp
@@ -37,7 +35,7 @@ from repro.core.schedulers import (
 )
 from repro.memory.cache import SectorCache
 from repro.sim.results import StallBreakdown
-from repro.sim.soa import NEVER
+from repro.sim.agenda import NEVER
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.gpu import GPU
@@ -54,18 +52,10 @@ class SM:
         self.slots_per_scheduler = cfg.warps_per_scheduler
         self.total_slots = cfg.max_warps_per_sm
 
-        # SoA slab block views (repro.sim.soa): this SM's scheduler rows
-        # of the GPU-wide state and scratch slabs.  Views, never copies.
-        soa = gpu.soa
-        self.soa = soa
+        #: the fast engine's calendars (repro.sim.agenda); this SM owns
+        #: rows row0 .. row0 + num_schedulers - 1.
+        self.agenda = gpu.agenda
         self.row0 = sm_id * self.num_schedulers
-        sl = slice(self.row0, self.row0 + self.num_schedulers)
-        self._v_ready = soa.ready_cycle[sl]
-        self._v_loads = soa.out_loads[sl]
-        self._v_atoms = soa.out_atoms[sl]
-        self._v_active = soa.active[sl]
-        self._v_barrier = soa.at_barrier[sl]
-        self._v_pc = soa.pc[sl]
 
         self.obs = getattr(gpu, "obs", None)
         self.inv = getattr(gpu, "inv", None)
@@ -101,9 +91,9 @@ class SM:
                 )
                 for i in range(count)
             ]
-            b0 = sm_id * count
-            for i, buf in enumerate(self.buffers):
-                buf.bind_slab(soa, b0 + i)
+            if gpu.fastpath:
+                for buf in self.buffers:
+                    buf.bind_agenda(self.agenda)
 
         # Kernel/batch bookkeeping.
         self.kernel: Optional[Kernel] = None
@@ -142,7 +132,7 @@ class SM:
         self._atomic_pc: List[bool] = [False]
         #: baseline-only: a barrier/fence/outstanding transition since
         #: the last _check_baseline_releases poll (property over the
-        #: per-SM SoA vector so GPU call sites are unchanged).
+        #: agenda's per-SM list so GPU call sites are unchanged).
         self._release_dirty = True
         #: reusable per-slot status records + per-scheduler status list,
         #: rewritten in place for examined schedulers (no per-cycle
@@ -221,9 +211,8 @@ class SM:
             old = self.sched_slots[sched][local]
             if old is not None:
                 # The retired warp may still receive late store acks:
-                # detach it onto instance storage before its cell is
-                # rebound to the new occupant.
-                old.unbind_slab()
+                # stop it reporting to the wake calendar.
+                old.unbind_agenda()
             warp = Warp(
                 uid=self.gpu.next_warp_uid(),
                 cta=cta,
@@ -237,7 +226,10 @@ class SM:
             warp.ready_cycle = now
             if self.obs is not None and self.obs.wants("access"):
                 warp.capture_addrs = True
-            warp.bind_slab(self.soa, self.row0 + sched, local)
+            if self.gpu.fastpath:
+                # Only the fast engine pops the wake heap; the polling
+                # oracle must not accumulate entries nothing consumes.
+                warp.bind_agenda(self.agenda)
             self.sched_slots[sched][local] = warp
             self.schedulers[sched].notify_warp_added(self.sched_slots[sched], local)
             self.live_count += 1
@@ -267,13 +259,13 @@ class SM:
 
     @property
     def _release_dirty(self) -> bool:
-        return self.soa.sm_release_dirty[self.sm_id]
+        return self.agenda.sm_release_dirty[self.sm_id]
 
     @_release_dirty.setter
     def _release_dirty(self, v: bool) -> None:
-        self.soa.sm_release_dirty[self.sm_id] = v
+        self.agenda.sm_release_dirty[self.sm_id] = v
         if v:
-            self.soa.visit_dirty.add(self.sm_id)
+            self.agenda.visit_dirty.add(self.sm_id)
 
     # ------------------------------------------------------------------
     # DAB buffer plumbing.
@@ -292,12 +284,12 @@ class SM:
             return [w] if w is not None else []
         return [w for w in self.sched_slots[idx] if w is not None]
 
-    # The three buffer queries below deliberately walk the object graph
-    # rather than the SoA mirrors: they serve the polling oracle (and
-    # CIF/checkpoint paths), which must never depend on mirror
-    # maintenance — a mirror bug has to surface as an engine divergence
-    # in the equivalence tests, not corrupt both engines identically.
-    # The fast engine uses the vectorized twins on repro.sim.soa.
+    # The two occupancy queries below walk the object graph rather than
+    # the agenda's counters: they serve the polling oracle (and the
+    # CIF/checkpoint paths), which must never depend on counter
+    # maintenance — a counter bug has to surface as an engine
+    # divergence in the equivalence tests, not corrupt both engines
+    # identically.  buffers_flush_ready serves both engines.
     def any_buffer_nonempty(self) -> bool:
         return any(b.non_empty for b in self.buffers)
 
@@ -340,16 +332,16 @@ class SM:
     # ------------------------------------------------------------------
     def _touch(self, sched: int) -> None:
         """A warp-state mutation invalidated this scheduler's memos."""
-        soa = self.soa
-        soa.sched_dirty[self.row0 + sched] = True
-        soa.visit_dirty.add(self.sm_id)
+        agenda = self.agenda
+        agenda.sched_dirty[self.row0 + sched] = True
+        agenda.visit_dirty.add(self.sm_id)
 
     def touch_all(self) -> None:
-        soa = self.soa
+        agenda = self.agenda
         base = self.row0
         for s in range(self.num_schedulers):
-            soa.sched_dirty[base + s] = True
-        soa.visit_dirty.add(self.sm_id)
+            agenda.sched_dirty[base + s] = True
+        agenda.visit_dirty.add(self.sm_id)
 
     def settle_stall_windows(self, epoch_end: int) -> None:
         """Book every open stall window through ``epoch_end - 1``.
@@ -367,39 +359,36 @@ class SM:
                 if owed > 0:
                     self.stalls.record_bulk(reason, owed)
                 self._acct_reason[s] = None
-                self.soa.sched_dirty[self.row0 + s] = True
+                self.agenda.sched_dirty[self.row0 + s] = True
 
-    def _fast_statuses(self, sched: int, table, now: int,
-                       act, bar, rc, ol, oa):
+    def _fast_statuses(self, sched: int, now: int):
         """Per-slot status snapshots, rewritten into reusable records.
 
         Must mirror :meth:`_status` exactly — the polling engine's
-        per-warp snapshot is the behavioural reference.  The timing
-        terms come from the caller's slab-row gathers (one bulk
-        ``.tolist()`` per array instead of five facade reads per warp);
-        the GPUDet consult and the atomic gate keep their per-warp side
-        effects.  Also returns the live-status list (identical to
+        per-warp snapshot is the behavioural reference.  The GPUDet
+        consult and the atomic gate keep their per-warp side effects.
+        Also returns the live-status list (identical to
         SchedulerPolicy._live) so select() skips a second slot scan.
         """
         rows = self._status_rows[sched]
         out = self._status_lists[sched]
-        pc_row = self._v_pc[sched].tolist()
         atbl = self._atomic_pc
         gpudet = self.gpu.gpudet
         dab = self.dab
         live = []
-        for i, w in enumerate(table):
+        for i, w in enumerate(self.sched_slots[sched]):
             if w is None:
                 out[i] = None
                 continue
-            if not act[i]:
+            if w.done:
                 out[i] = DONE_STATUS
                 continue
-            ready = ol[i] == 0 and oa[i] == 0 and rc[i] <= now
+            ready = (w.outstanding_loads == 0 and w.outstanding_atoms == 0
+                     and w.ready_cycle <= now)
             if ready and gpudet is not None:
                 ready = gpudet.can_issue(w)
-            next_atomic = atbl[pc_row[i]]
-            at_b = bar[i]
+            next_atomic = atbl[w.stack.pc]
+            at_b = w.at_barrier
             gate_ok = True
             gate_reason = ""
             if next_atomic and dab is not None and not at_b:
@@ -424,15 +413,15 @@ class SM:
         stall records the polling loop books while a scheduler cannot
         issue are reproduced in bulk when its window closes.
         """
-        soa = self.soa
-        if soa.sm_release_dirty[self.sm_id]:
-            soa.sm_release_dirty[self.sm_id] = False
+        agenda = self.agenda
+        if agenda.sm_release_dirty[self.sm_id]:
+            agenda.sm_release_dirty[self.sm_id] = False
             self._check_baseline_releases(now)
         issued = 0
         left_dirty = False
         base = self.row0
-        dirty = soa.sched_dirty
-        wakes = soa.sched_wake
+        dirty = agenda.sched_dirty
+        wakes = agenda.sched_wake
         # Both calendars are plain Python lists and read LIVE: an
         # earlier scheduler of this pass can touch a later one (e.g. an
         # immediate barrier release), and the polling loop's lazy
@@ -451,30 +440,21 @@ class SM:
                 self._acct_reason[s] = None
             dirty[r0] = False
 
-            # Row-gather precheck: one bulk .tolist() per slab row (the
-            # write-through facade keeps the rows current) replaces the
-            # per-warp facade reads of the old scan; gathers are fresh
-            # at examination time, so an earlier scheduler's issue side
-            # effects are always observed (same as the polling scan).
-            row = s
-            act = self._v_active[row].tolist()
-            bar = self._v_barrier[row].tolist()
-            rc = self._v_ready[row].tolist()
-            ol = self._v_loads[row].tolist()
-            oa = self._v_atoms[row].tolist()
+            # Same precheck as the polling scan, plus the earliest
+            # time-driven wake for the freeze below.
             any_live = False
             any_ready = False
             all_barrier = True
             wake = NEVER
-            for i in range(len(act)):
-                if not act[i]:
+            for w in self.sched_slots[s]:
+                if w is None or w.done:
                     continue
                 any_live = True
-                if bar[i]:
+                if w.at_barrier:
                     continue
                 all_barrier = False
-                if ol[i] == 0 and oa[i] == 0:
-                    r = rc[i]
+                if w.outstanding_loads == 0 and w.outstanding_atoms == 0:
+                    r = w.ready_cycle
                     if r <= now:
                         any_ready = True
                         break
@@ -488,7 +468,7 @@ class SM:
                 self._acct_epoch[s] = epoch
                 wakes[r0] = wake
                 if wake != NEVER:
-                    soa.push_wake(r0, wake)
+                    agenda.push_wake(r0, wake)
                 continue
 
             # A warp is timing-ready: run the full select machinery and
@@ -498,8 +478,7 @@ class SM:
             # polling loop would run them.
             dirty[r0] = True
             left_dirty = True
-            statuses, live = self._fast_statuses(
-                s, self.sched_slots[s], now, act, bar, rc, ol, oa)
+            statuses, live = self._fast_statuses(s, now)
             warp, reason = sched.select(now, statuses, live)
             blocked = getattr(sched, "gate_blocked_warp", None)
             if blocked is not None:
@@ -516,7 +495,7 @@ class SM:
         if left_dirty:
             # A scheduler stayed dirty (select side effects must rerun
             # next epoch): keep this SM on the agenda.
-            soa.visit_dirty.add(self.sm_id)
+            agenda.visit_dirty.add(self.sm_id)
         return issued
 
     # ------------------------------------------------------------------

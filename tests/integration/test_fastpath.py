@@ -14,8 +14,10 @@ from repro.config import GPUConfig
 from repro.core.dab import DABConfig
 from repro.faults import FaultConfig, FaultPlan
 from repro.gpudet.gpudet import GPUDetConfig
+from repro.arch.warp import Warp
 from repro.harness.runner import ArchSpec, run_workload
 from repro.obs import ObsConfig
+from repro.sim.gpu import GPU
 from repro.workloads.bc import build_bc
 from repro.workloads.convolution import build_conv
 from repro.workloads.microbench import build_atomic_sum, build_histogram
@@ -144,3 +146,60 @@ def test_epochs_gauge_matches_across_engines():
     p = poll.metrics_dict()["metrics"][key]
     assert f == p
     assert f["value"] > 0
+
+
+def _capture_gpus(monkeypatch):
+    """Collect every GPU that finishes a run (for post-run inspection)."""
+    gpus = []
+    orig = GPU._collect_result
+
+    def collect(self, *args, **kw):
+        gpus.append(self)
+        return orig(self, *args, **kw)
+
+    monkeypatch.setattr(GPU, "_collect_result", collect)
+    return gpus
+
+
+def test_polling_engine_leaves_wake_heap_empty(monkeypatch):
+    # Only the fast engine pops the per-warp wake heap, so the polling
+    # oracle must never push onto it: bound warps would leave one dead
+    # entry per eligibility transition behind.
+    gpus = _capture_gpus(monkeypatch)
+    res = _run(lambda: build_bc(graph="1k", scale=32), ArchSpec.baseline(),
+               fastpath=False)
+    assert res.instructions > 0
+    assert gpus
+    assert all(gpu.agenda.warp_wake == [] for gpu in gpus)
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_wake_heap_matches_scan(monkeypatch, arch):
+    # Every fast-forward's heap peek must equal a full rescan of the
+    # object graph.  The histogram grid is two waves deep on the
+    # small preset, so CTAs retire mid-kernel and their hardware slots
+    # are reused: stale (rc, uid, warp) entries of retired warps must
+    # be discarded, never mistaken for the new occupant's wake.
+    orig = GPU._earliest_warp_wake_fast
+    peeks = []
+
+    def checked(self):
+        got = orig(self)
+        self._wake_dirty = True  # force a rescan, not the memo
+        assert got == self._earliest_warp_wake(), self.cycle
+        peeks.append(got)
+        return got
+
+    monkeypatch.setattr(GPU, "_earliest_warp_wake_fast", checked)
+    unbinds = []
+    orig_unbind = Warp.unbind_agenda
+
+    def unbind(self):
+        unbinds.append(self.uid)
+        orig_unbind(self)
+
+    monkeypatch.setattr(Warp, "unbind_agenda", unbind)
+    _run(lambda: build_histogram(8192, bins=32, cta_dim=64), arch,
+         fastpath=True)
+    assert unbinds, "config must reuse hardware slots mid-kernel"
+    assert any(p is not None for p in peeks)

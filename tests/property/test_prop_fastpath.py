@@ -80,17 +80,17 @@ def test_engines_agree_under_random_fault_plans(seed, cfg, arch_idx):
     assert _run(arch, plan, True) == _run(arch, plan, False)
 
 
-# --- SoA fastpath equivalence across the full draw space ---------------
+# --- Fastpath equivalence across the full draw space -------------------
 #
 # The fault-plan property above pins one workload; this one draws the
 # whole tuple (workload, arch, seed, fault plan) and additionally
 # compares trace digests and the reduction-commit stream.  The workload
-# pool is chosen to hit the SoA engine's hard edges on the tiny config
+# pool is chosen to hit the fast engine's hard edges on the tiny config
 # (2 SMs x 8 warp slots):
 #
 # * ``atomic_sum``/``histogram`` launch far more CTAs than the machine
-#   holds, so CTAs retire and are replaced mid-kernel (slab cells are
-#   rebound while their scheduler row stays hot);
+#   holds, so CTAs retire and are replaced mid-kernel (hardware slots
+#   are rebound while their scheduler row stays hot);
 # * ``mc_barrier`` makes barrier arrival order commit-relevant (the
 #   immediate-release path is the one a stale dirty-flag snapshot
 #   breaks);

@@ -1,9 +1,12 @@
-"""Edge-case tests for harness.report: geomean, pearson, Table."""
+"""Edge-case tests for harness.report (geomean, pearson, Table) and
+the report's bench-trajectory charts."""
 
 import math
 
 import pytest
 
+from repro.campaign.html import _bench_section
+from repro.campaign.rundb import RunDB
 from repro.harness.report import Table, geomean, pearson
 
 
@@ -86,3 +89,25 @@ class TestTable:
         t = Table("T", ["a", "b"])
         with pytest.raises(ValueError):
             t.add_row(1)
+
+
+class TestSweepChart:
+    def test_parallel_speedup_skipped_when_cpus_below_jobs(self, tmp_path):
+        entries = [
+            # stored before the not-applicable marker existed
+            {"cpu_count": 1, "jobs": 4, "parallel_speedup": 0.8,
+             "warm_speedup": 20.0},
+            {"cpu_count": 2, "jobs": 4, "warm_speedup": 22.0,
+             "parallel_speedup_na": "cpu_count < jobs"},
+            {"cpu_count": 8, "jobs": 4, "parallel_speedup": 3.1,
+             "warm_speedup": 25.0},
+        ]
+        with RunDB(tmp_path / "runs.db") as db:
+            for i, e in enumerate(entries):
+                db.record_bench("sweep", i, e)
+            html = _bench_section(db)
+        assert "parallel vs serial · run 3" in html
+        assert "parallel vs serial · run 1" not in html
+        assert "parallel vs serial · run 2" not in html
+        for i in (1, 2, 3):
+            assert f"warm cache vs serial · run {i}" in html
