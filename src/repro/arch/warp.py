@@ -75,7 +75,7 @@ class Warp:
         "uid", "sm_id", "scheduler_id", "hw_slot", "batch",
         "cta", "warp_id_in_cta", "warp_size", "program", "regs", "stack",
         "_ready_cycle", "_outstanding_loads", "outstanding_stores",
-        "_outstanding_atoms", "_at_barrier", "exited", "dyn_instrs",
+        "_outstanding_atoms", "_at_barrier", "done", "dyn_instrs",
         "dyn_atomics", "sleep_until", "launched_cycle", "fence_arrived_at",
         "buffered_reds", "_red_cache", "capture_addrs", "_agenda",
     )
@@ -119,7 +119,8 @@ class Warp:
         self.outstanding_stores = 0
         self._outstanding_atoms = 0
         self._at_barrier = False
-        self.exited = False
+        #: set by step() at the EXIT that empties the SIMT stack.
+        self.done = False
         #: reds inserted into a DAB buffer since the last flush; a CTA
         #: barrier whose warps all have 0 here needs no fence flush.
         self.buffered_reds = 0
@@ -216,10 +217,6 @@ class Warp:
 
     # ------------------------------------------------------------------
     @property
-    def done(self) -> bool:
-        return self.exited or self.stack.done
-
-    @property
     def pc(self) -> int:
         return self.stack.pc
 
@@ -229,51 +226,11 @@ class Warp:
             return None
         return self.program.instrs[self.stack.pc]
 
-    def issue_ready(self, now: int) -> bool:
-        """Could this warp issue *something* at cycle ``now``?
-
-        The cheap timing predicate shared by the polling precheck, the
-        event-driven ready-set maintenance and the schedulers' status
-        snapshots: past its latency window, not at a barrier/fence, and
-        no outstanding loads or returning atomics.  (Architecture gates
-        — GPUDet quanta, DAB atomic gates — are layered on top by the
-        SM; they are not a property of the warp.)
-        """
-        return (
-            self.ready_cycle <= now
-            and not self.at_barrier
-            and self.outstanding_loads == 0
-            and self.outstanding_atoms == 0
-        )
-
-    def wake_candidate(self) -> Optional[int]:
-        """The cycle this warp becomes issuable on its own, or ``None``.
-
-        ``None`` when the warp cannot wake by time alone — it is done,
-        at a barrier, or waiting on a memory event (which notifies the
-        issue engine directly when it lands).
-        """
-        if self.at_barrier or self.outstanding_loads or self.outstanding_atoms:
-            return None
-        if self.exited or self.stack.done:
-            return None
-        return self.ready_cycle
-
     def next_is_atomic(self) -> bool:
         """Used by determinism-aware schedulers (GTRR/GTAR/GWAT)."""
-        # Inlined peek(): this runs once per live slot per status
-        # snapshot, the hottest read in the issue path.
-        if self.exited or self.stack.done:
+        if self.done:
             return False
         return self.program.instrs[self.stack.pc].atomic
-
-    def next_red_lane_count(self) -> int:
-        """How many buffer entries the next ``red`` would need (no fusion)."""
-        ins = self.peek()
-        if ins is None or ins.op_class is not OpClass.MEM_RED:
-            return 0
-        mask = self._effective_mask(ins)
-        return int(np.count_nonzero(mask))
 
     def peek_red_ops(self) -> Tuple[AtomicOp, ...]:
         """Dry-run the next ``red``'s lane ops without executing it.
@@ -372,11 +329,9 @@ class Warp:
 
         if oc is OpClass.EXIT:
             self.stack.exit_lanes(mask if ins.guard is not None else None)
-            exited = self.stack.done
-            if not exited:
-                # Some lanes survive (guarded exit); they continue.
-                pass
-            return StepResult(ins, oc, active, exited=exited)
+            # Lanes that survive a guarded exit continue.
+            self.done = self.stack.done
+            return StepResult(ins, oc, active, exited=self.done)
 
         if oc is OpClass.BARRIER:
             self.stack.advance()

@@ -58,10 +58,11 @@ STALL_GATE_BATCH = "batch"       # atomic blocked: CTA batch ordering
 class WarpStatus:
     """One slot's issue-readiness snapshot for this cycle.
 
-    The SM reuses one record per hardware slot across cycles (rewriting
-    the fields in place) rather than allocating a fresh snapshot per
-    warp per cycle; policies must therefore not retain references across
-    ``select`` calls (they keep warp uids / slot indices instead).
+    The fast engine keeps one record per placed warp across cycles
+    (rewriting the fields in place) rather than allocating a fresh
+    snapshot per warp per cycle; policies must therefore not retain
+    references across ``select`` calls (they keep warp uids / slot
+    indices instead).
     """
 
     warp: Optional[Warp]
@@ -108,9 +109,10 @@ class SchedulerPolicy:
         """Pick the warp to issue.
 
         ``live`` optionally carries the precomputed ``_live(slots)``
-        list: the fast engine builds it while writing the status rows,
-        so policies need not re-filter the slots (identical contents
-        and order; the polling engine passes None and filters here).
+        list: the fast engine keeps one per scheduler, so policies need
+        not re-filter the slots (identical contents and order; the
+        polling engine passes None and filters here).  Policies must
+        not mutate it.
         """
         raise NotImplementedError
 

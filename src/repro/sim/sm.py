@@ -134,17 +134,17 @@ class SM:
         #: the last _check_baseline_releases poll (property over the
         #: agenda's per-SM list so GPU call sites are unchanged).
         self._release_dirty = True
-        #: reusable per-slot status records + per-scheduler status list,
-        #: rewritten in place for examined schedulers (no per-cycle
-        #: allocation); policies do not retain them across select calls.
-        self._status_rows: List[List[WarpStatus]] = [
-            [WarpStatus(None, False, False, False)
-             for _ in range(self.slots_per_scheduler)]
-            for _ in range(ns)
-        ]
+        #: per-scheduler status list, one entry per slot: None (never
+        #: placed), the occupant's record while it is live, DONE_STATUS
+        #: once it exited; and the live list, the live records in slot
+        #: order.  Both change only in try_place_cta and _handle_exit;
+        #: the fast engine rewrites the live records' fields in place at
+        #: each examination (policies do not retain them across select
+        #: calls).
         self._status_lists: List[List[Optional[WarpStatus]]] = [
             [None] * self.slots_per_scheduler for _ in range(ns)
         ]
+        self._live_lists: List[List[WarpStatus]] = [[] for _ in range(ns)]
 
     # ------------------------------------------------------------------
     # Kernel / CTA management.
@@ -231,6 +231,7 @@ class SM:
                 # oracle must not accumulate entries nothing consumes.
                 warp.bind_agenda(self.agenda)
             self.sched_slots[sched][local] = warp
+            self._set_status(sched, local, WarpStatus(warp, False, False, False))
             self.schedulers[sched].notify_warp_added(self.sched_slots[sched], local)
             self.live_count += 1
             self._touch(sched)
@@ -240,6 +241,14 @@ class SM:
         if self.gpu.gpudet is not None:
             self.gpu.gpudet.on_cta_placed(cta, self)
         return True
+
+    def _set_status(self, sched: int, local: int, status: WarpStatus) -> None:
+        """Set a slot's status entry and rebuild its scheduler's live list."""
+        out = self._status_lists[sched]
+        out[local] = status
+        self._live_lists[sched] = [
+            r for r in out if r is not None and r is not DONE_STATUS
+        ]
 
     def live_warps(self) -> List[Warp]:
         out = []
@@ -362,47 +371,37 @@ class SM:
                 self.agenda.sched_dirty[self.row0 + s] = True
 
     def _fast_statuses(self, sched: int, now: int):
-        """Per-slot status snapshots, rewritten into reusable records.
+        """Rewrite the live records' fields; return (statuses, live).
 
         Must mirror :meth:`_status` exactly — the polling engine's
         per-warp snapshot is the behavioural reference.  The GPUDet
         consult and the atomic gate keep their per-warp side effects.
-        Also returns the live-status list (identical to
-        SchedulerPolicy._live) so select() skips a second slot scan.
+        ``live`` equals SchedulerPolicy._live(statuses), so select()
+        skips a second slot scan.  Reads the warps' backing fields to
+        skip the property calls.
         """
-        rows = self._status_rows[sched]
-        out = self._status_lists[sched]
+        live = self._live_lists[sched]
         atbl = self._atomic_pc
         gpudet = self.gpu.gpudet
         dab = self.dab
-        live = []
-        for i, w in enumerate(self.sched_slots[sched]):
-            if w is None:
-                out[i] = None
-                continue
-            if w.done:
-                out[i] = DONE_STATUS
-                continue
-            ready = (w.outstanding_loads == 0 and w.outstanding_atoms == 0
-                     and w.ready_cycle <= now)
+        for r in live:
+            w = r.warp
+            ready = (w._outstanding_loads == 0 and w._outstanding_atoms == 0
+                     and w._ready_cycle <= now)
             if ready and gpudet is not None:
                 ready = gpudet.can_issue(w)
             next_atomic = atbl[w.stack.pc]
-            at_b = w.at_barrier
+            at_b = w._at_barrier
             gate_ok = True
             gate_reason = ""
             if next_atomic and dab is not None and not at_b:
                 gate_ok, gate_reason = self._atomic_gate(w)
-            r = rows[i]
-            r.warp = w
             r.ready = ready
             r.at_barrier = at_b
             r.next_atomic = next_atomic
             r.gate_ok = gate_ok
             r.gate_reason = gate_reason
-            out[i] = r
-            live.append(r)
-        return out, live
+        return self._status_lists[sched], live
 
     def issue_cycle_fast(self, now: int, epoch: int) -> int:
         """Event-driven counterpart of :meth:`issue_cycle`.
@@ -440,29 +439,27 @@ class SM:
                 self._acct_reason[s] = None
             dirty[r0] = False
 
-            # Same precheck as the polling scan, plus the earliest
-            # time-driven wake for the freeze below.
-            any_live = False
+            # Same precheck as the polling scan over the live list, plus
+            # the earliest time-driven wake for the freeze below.
+            live = self._live_lists[s]
+            if not live:
+                wakes[r0] = NEVER
+                continue  # idle scheduler: not counted as a stall slot
             any_ready = False
             all_barrier = True
             wake = NEVER
-            for w in self.sched_slots[s]:
-                if w is None or w.done:
-                    continue
-                any_live = True
-                if w.at_barrier:
+            for rec in live:
+                w = rec.warp
+                if w._at_barrier:
                     continue
                 all_barrier = False
-                if w.outstanding_loads == 0 and w.outstanding_atoms == 0:
-                    r = w.ready_cycle
+                if w._outstanding_loads == 0 and w._outstanding_atoms == 0:
+                    r = w._ready_cycle
                     if r <= now:
                         any_ready = True
                         break
                     if r < wake:
                         wake = r
-            if not any_live:
-                wakes[r0] = NEVER
-                continue  # idle scheduler: not counted as a stall slot
             if not any_ready:
                 self._acct_reason[s] = "barrier" if all_barrier else "mem"
                 self._acct_epoch[s] = epoch
@@ -674,7 +671,7 @@ class SM:
     # Instruction-class handlers.
     # ------------------------------------------------------------------
     def _handle_exit(self, now: int, warp: Warp) -> None:
-        warp.exited = True
+        self._set_status(warp.scheduler_id, warp.hw_slot, DONE_STATUS)
         self.live_count -= 1
         self._touch(warp.scheduler_id)
         # An exit can free a hardware slot (dispatch), flip a buffer to

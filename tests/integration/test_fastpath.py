@@ -11,13 +11,15 @@ import os
 import pytest
 
 from repro.config import GPUConfig
-from repro.core.dab import DABConfig
+from repro.core.dab import BufferLevel, DABConfig
+from repro.core.schedulers import DONE_STATUS
 from repro.faults import FaultConfig, FaultPlan
 from repro.gpudet.gpudet import GPUDetConfig
 from repro.arch.warp import Warp
 from repro.harness.runner import ArchSpec, run_workload
 from repro.obs import ObsConfig
 from repro.sim.gpu import GPU
+from repro.sim.sm import SM
 from repro.workloads.bc import build_bc
 from repro.workloads.convolution import build_conv
 from repro.workloads.microbench import build_atomic_sum, build_histogram
@@ -90,6 +92,22 @@ def test_engines_identical_under_faults(arch):
         lambda: build_atomic_sum(2048), arch,
         faults=plan, invariants=True,
     )
+
+
+@pytest.mark.parametrize("level", [BufferLevel.SCHEDULER, BufferLevel.WARP],
+                         ids=["sched", "warp"])
+@pytest.mark.parametrize("policy", ["srr", "gtrr", "gtar", "gwat"])
+@pytest.mark.parametrize("workload", [
+    pytest.param(lambda: build_histogram(4096, bins=32), id="histogram"),
+    pytest.param(lambda: build_conv("cnv2_1"), id="cnv2_1"),
+])
+def test_engines_identical_for_every_dab_policy(workload, policy, level):
+    # Each policy reads the status records differently (GTRR/GTAR
+    # rounds, GWAT's token), and warp-level buffers gate per slot.
+    arch = ArchSpec.make_dab(
+        DABConfig(buffer_entries=64, scheduler=policy, buffer_level=level),
+        f"dab-{policy}-{level.value}")
+    _assert_engines_agree(workload, arch)
 
 
 def test_engines_identical_on_graph_workload():
@@ -203,3 +221,44 @@ def test_wake_heap_matches_scan(monkeypatch, arch):
          fastpath=True)
     assert unbinds, "config must reuse hardware slots mid-kernel"
     assert any(p is not None for p in peeks)
+
+
+def _assert_live_lists_match_slots(sm):
+    for s, table in enumerate(sm.sched_slots):
+        statuses = sm._status_lists[s]
+        live = sm._live_lists[s]
+        assert [r.warp for r in live] == [
+            w for w in table if w is not None and not w.done]
+        assert all(r is statuses[r.warp.hw_slot] for r in live)
+        for w, status in zip(table, statuses):
+            if w is None:
+                assert status is None
+            elif w.done:
+                assert status is DONE_STATUS
+            else:
+                assert status is not DONE_STATUS and status.warp is w
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_live_lists_match_slot_tables(monkeypatch, arch):
+    # The fast engine examines only each scheduler's live list, which
+    # try_place_cta and _handle_exit maintain.  Check it against the
+    # slot tables around every SM visit, on a grid two waves deep so
+    # exited slots are reused by the next wave.
+    gpus = _capture_gpus(monkeypatch)
+    orig = SM.issue_cycle_fast
+    visits = []
+
+    def checked(self, now, epoch):
+        _assert_live_lists_match_slots(self)
+        issued = orig(self, now, epoch)
+        _assert_live_lists_match_slots(self)
+        visits.append(issued)
+        return issued
+
+    monkeypatch.setattr(SM, "issue_cycle_fast", checked)
+    _run(lambda: build_histogram(8192, bins=32, cta_dim=64), arch,
+         fastpath=True)
+    assert any(visits)
+    assert any(sm.ctas_placed > sm._ctas_per_wave
+               for gpu in gpus for sm in gpu.sms), "slots must be reused"

@@ -113,7 +113,7 @@ class TestSRR:
     def test_exited_warp_is_skipped(self):
         s = SRRScheduler(2)
         w0, w1 = mk_warp(1, 0), mk_warp(2, 1)
-        w0.exited = True
+        w0.done = True
         pick, _ = s.select(0, [st(w0), st(w1)])
         assert pick is w1
 
@@ -248,7 +248,7 @@ class TestGWAT:
 
     def test_token_passes_on_exit(self):
         s, warps = self.mk_three()
-        warps[0].exited = True
+        warps[0].done = True
         s.notify_exit(warps, 0)
         assert s.token_slot == 1
 
@@ -264,7 +264,7 @@ class TestGWAT:
         s = GWATScheduler(3)
         for w in warps:
             s.notify_warp_added(warps, w.hw_slot)
-        warps[0].exited = True
+        warps[0].done = True
         s.notify_exit(warps, 0)
         assert s.token_slot == 2  # batch 0 beats closer slot 1 (batch 1)
 
