@@ -22,8 +22,8 @@ Fig 3 execution-mode breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -64,15 +64,37 @@ class StoreBufferView:
         self._sb = sb
 
     def load_many(self, addrs) -> np.ndarray:
-        out = np.empty(len(addrs), dtype=np.float64)
-        for k, a in enumerate(addrs):
-            v = self._sb.load(int(a))
-            out[k] = self._mem.load(int(a)) if v is None else v
+        # One gather, then overlay the warp's own buffered stores; every
+        # buffered address was validated by store_many.
+        out = self._mem.load_many(addrs)
+        if not self._sb.empty:
+            for k, a in enumerate(addrs):
+                v = self._sb.load(int(a))
+                if v is not None:
+                    out[k] = v
         return out
 
     def store_many(self, addrs, values) -> None:
         for a, v in zip(addrs, values):
-            self._sb.store(int(a), v)
+            a = int(a)
+            # Reject a bad address at the store, as GlobalMemory.store
+            # does, not quanta later when the commit writes it.
+            self._mem.locate(a)
+            self._sb.store(a, v)
+
+
+class _WarpState:
+    """One warp's GPUDet state: store buffer, its view, quantum use and
+    the reason its quantum ended (None while it may still issue)."""
+
+    __slots__ = ("warp", "sb", "view", "used", "reason")
+
+    def __init__(self, warp: Warp, mem: GlobalMemory):
+        self.warp = warp
+        self.sb = StoreBuffer()
+        self.view = StoreBufferView(mem, self.sb)
+        self.used = 0
+        self.reason: Optional[str] = None
 
 
 PARALLEL, COMMIT, SERIAL = "parallel", "commit", "serial"
@@ -85,10 +107,9 @@ class GPUDetController:
         self.mode = PARALLEL
         self.mode_cycles: Dict[str, int] = {PARALLEL: 0, COMMIT: 0, SERIAL: 0}
         self._mode_started = 0
-        self._store_buffers: Dict[int, StoreBuffer] = {}
-        self._views: Dict[int, StoreBufferView] = {}
-        self._quantum_used: Dict[int, int] = {}
-        self._reason: Dict[int, Optional[str]] = {}
+        #: warp uid -> state, for live warps and for exited warps whose
+        #: stores the next commit has yet to drain.
+        self._warps: Dict[int, _WarpState] = {}
         self._quanta = 0
 
     # ------------------------------------------------------------------
@@ -98,18 +119,14 @@ class GPUDetController:
     def on_cta_placed(self, cta: CTA, sm: "SM") -> None:
         pass
 
-    def _state_for(self, warp: Warp) -> None:
-        if warp.uid not in self._store_buffers:
-            self._store_buffers[warp.uid] = StoreBuffer()
-            self._views[warp.uid] = StoreBufferView(
-                self.gpu.mem, self._store_buffers[warp.uid]
-            )
-            self._quantum_used[warp.uid] = 0
-            self._reason[warp.uid] = None
+    def _state_for(self, warp: Warp) -> _WarpState:
+        st = self._warps.get(warp.uid)
+        if st is None:
+            st = self._warps[warp.uid] = _WarpState(warp, self.gpu.mem)
+        return st
 
     def mem_view(self, warp: Warp) -> StoreBufferView:
-        self._state_for(warp)
-        return self._views[warp.uid]
+        return self._state_for(warp).view
 
     # ------------------------------------------------------------------
     # Issue gating & accounting.
@@ -117,29 +134,36 @@ class GPUDetController:
     def can_issue(self, warp: Warp) -> bool:
         if self.mode != PARALLEL:
             return False
-        self._state_for(warp)
-        if self._reason[warp.uid] is not None:
+        st = self._state_for(warp)
+        if st.reason is not None:
             return False
         if warp.next_is_atomic():
             # Atomics may not execute in parallel mode: end the quantum.
-            self._reason[warp.uid] = "atomic"
+            st.reason = "atomic"
             self.gpu._gpudet_dirty = True  # tick() reads the reasons
             return False
         return True
 
     def after_step(self, now: int, warp: Warp, result) -> None:
-        self._state_for(warp)
+        st = self._state_for(warp)
         self.gpu._gpudet_dirty = True  # any step can end the quantum
-        self._quantum_used[warp.uid] += 1
+        st.used += 1
         if result.exited:
-            self._reason[warp.uid] = "exit"
+            st.reason = "exit"
         elif result.barrier or result.fence:
-            self._reason[warp.uid] = "barrier"
-        elif self._quantum_used[warp.uid] >= self.config.quantum_instrs:
-            self._reason[warp.uid] = "budget"
+            st.reason = "barrier"
+        elif st.used >= self.config.quantum_instrs:
+            st.reason = "budget"
 
     # ------------------------------------------------------------------
     # Quantum state machine.
+    #
+    # GPU-wide sweeps visit only SMs with live warps.  That is exact: an
+    # SM with no live warps has no barrier or fence waiters (a waiter is
+    # a live warp) and no open stall window (a scheduler's last live
+    # warp leaves by issuing its exit); placing a CTA touches the
+    # schedulers it fills; and serial mode steps only atomics, so it
+    # never exits a warp.  DESIGN.md §12 has the full argument.
     # ------------------------------------------------------------------
     def tick(self, now: int) -> bool:
         if self.mode != PARALLEL:
@@ -147,9 +171,9 @@ class GPUDetController:
         # Lazy scan with early-out: most calls find a warp mid-quantum
         # (reason still None) within the first few slots, so building
         # the full live-warp list up front is wasted work on the hot
-        # path.  Iteration order matches the old list build (SM order,
-        # scheduler order, slot order), so the _state_for lazy-init
-        # side effects land identically.
+        # path.  A warp without a record has not been examined yet, so
+        # its quantum is still open.
+        warps = self._warps
         any_live = False
         barrier_blocked = False
         for sm in self.gpu.sms:
@@ -160,20 +184,20 @@ class GPUDetController:
                     if w is None or w.done:
                         continue
                     any_live = True
-                    self._state_for(w)
                     if w.at_barrier:
                         # Its quantum ended with 'barrier', but its
                         # in-flight memory still blocks the commit.
                         if w.outstanding_loads or w.outstanding_atoms:
                             barrier_blocked = True
                         continue
-                    if self._reason[w.uid] is None:
+                    st = warps.get(w.uid)
+                    if st is None or st.reason is None:
                         return False
                     if w.outstanding_loads or w.outstanding_atoms:
                         return False
         if not any_live:
             # Kernel drain: final commit of any leftover stores.
-            if any(not sb.empty for sb in self._store_buffers.values()):
+            if not self.drained():
                 self._enter_commit(now)
                 return True
             return False
@@ -190,13 +214,18 @@ class GPUDetController:
 
         # Deterministic commit: warp-uid order; Z-buffer resolves
         # same-address conflicts by the same order (later uid wins).
+        # An exited warp's state goes once its stores are out.
         num_parts = len(self.gpu.partitions)
         per_part = [0] * num_parts
-        for uid in sorted(self._store_buffers):
-            sb = self._store_buffers[uid]
-            for addr, value in sb.drain():
-                self.gpu.mem.store(addr, value)
-                per_part[self.gpu.addr_map.partition_of(addr)] += 1
+        warps = self._warps
+        for uid in sorted(warps):
+            st = warps[uid]
+            if not st.sb.empty:
+                for addr, value in st.sb.drain():
+                    self.gpu.mem.store(addr, value)
+                    per_part[self.gpu.addr_map.partition_of(addr)] += 1
+            if st.reason == "exit":
+                del warps[uid]
         cycles = zbuffer_commit_cycles(
             per_part,
             startup=self.config.zbuffer_startup,
@@ -214,23 +243,21 @@ class GPUDetController:
         t = now
 
         # Serial mode: warps stopped at an atomic run it one warp at a
-        # time, in warp-uid order.
-        pending = [
-            w
-            for sm in self.gpu.sms
-            for w in sm.live_warps()
-            if self._reason.get(w.uid) == "atomic"
-        ]
-        pending.sort(key=lambda w: w.uid)
+        # time, in warp-uid order.  Only a live warp's quantum ends with
+        # 'atomic' (the warp cannot step again until serial mode).
+        warps = self._warps
+        pending = [warps[uid] for uid in sorted(warps)
+                   if warps[uid].reason == "atomic"]
         last_done = now
-        for w in pending:
+        for st in pending:
+            w = st.warp
             if not w.next_is_atomic():
                 continue  # guarded off since
             sm = self.gpu.sms[w.sm_id]
             result = w.step(self.gpu.mem)
             sm.instructions += 1
             sm.atomics += 1
-            self._quantum_used[w.uid] += 1
+            st.used += 1
             spec = result.mem
             t += self.config.serial_issue_gap
             if spec is not None:
@@ -255,45 +282,40 @@ class GPUDetController:
         self.mode_cycles[SERIAL] += now - self._mode_started
         self.mode = PARALLEL
         self._mode_started = now
-        self.gpu._wake_dirty = True  # barrier releases + ready bumps below
+        self.gpu._wake_dirty = True  # barrier releases below
         self.gpu._gpudet_dirty = True  # new quantum may end immediately
-        self.gpu._touch_all_sms()  # releases + ready bumps on every SM
+        self.gpu._touch_all_sms()  # every live warp may issue again
         # New quantum: reset budgets and reasons; release arrived barriers
-        # (their stores are now committed and visible).
-        for uid in self._quantum_used:
-            self._quantum_used[uid] = 0
-        for uid in self._reason:
-            if self._reason[uid] != "exit":
-                self._reason[uid] = None
+        # (their stores are now committed and visible).  No warp has
+        # exited since the commit dropped the exited warps' state.
+        for st in self._warps.values():
+            st.used = 0
+            st.reason = None
         self._release_barriers(now)
-        for sm in self.gpu.sms:
-            for w in sm.live_warps():
-                w.ready_cycle = max(w.ready_cycle, now)
 
     def _release_barriers(self, now: int) -> None:
         for sm in self.gpu.sms:
+            if not sm.live_count:
+                continue  # no live warp, so no waiter
             done = []
             for cta in sm._barrier_ctas:  # noqa: SLF001
                 warps = [w for w in sm.all_warps() if w.cta is cta and not w.done]
                 if warps and all(w.at_barrier for w in warps):
                     for w in warps:
                         w.at_barrier = False
-                        self._reason[w.uid] = None
                         w.ready_cycle = max(w.ready_cycle, now + 1)
                     done.append(cta)
             for cta in done:
                 sm._barrier_ctas.remove(cta)  # noqa: SLF001
-            still = []
             for w in sm._fence_warps:  # noqa: SLF001
                 w.at_barrier = False
-                self._reason[w.uid] = None
                 w.ready_cycle = max(w.ready_cycle, now + 1)
-            sm._fence_warps = still  # noqa: SLF001
+            sm._fence_warps = []  # noqa: SLF001
 
     # ------------------------------------------------------------------
     def drained(self) -> bool:
         return self.mode == PARALLEL and all(
-            sb.empty for sb in self._store_buffers.values()
+            st.sb.empty for st in self._warps.values()
         )
 
     def finalize(self, now: int) -> None:

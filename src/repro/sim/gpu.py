@@ -410,7 +410,6 @@ class GPU:
         self._dispatch_dirty = True
         self._flush_dirty = True
         self._gpudet_dirty = True
-        self._touch_all_sms()
         self.dispatcher.begin_kernel(self._current)
         if self.gpudet is not None:
             self.gpudet.begin_kernel(self._current)
@@ -778,9 +777,12 @@ class GPU:
         return self._collect_result()
 
     def _touch_all_sms(self) -> None:
-        """Dirty every scheduler calendar (broadcast state change)."""
+        """Dirty every occupied SM's scheduler calendars (broadcast state
+        change).  An SM with no live warps has nothing to re-examine and
+        no open stall window; placing a CTA touches its schedulers."""
         for sm in self.sms:
-            sm.touch_all()
+            if sm.live_count:
+                sm.touch_all()
 
     def _earliest_warp_wake_fast(self) -> Optional[int]:
         # Fastpath replacement for _earliest_warp_wake: peek the lazy

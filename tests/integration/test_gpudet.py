@@ -7,9 +7,12 @@ from repro.arch.isa import assemble
 from repro.arch.kernel import Kernel
 from repro.config import GPUConfig
 from repro.gpudet.gpudet import GPUDetConfig
+from repro.harness.runner import ArchSpec, run_workload
+from repro.harness.sweep import WorkloadRef
 from repro.memory.globalmem import GlobalMemory
 from repro.sim.gpu import GPU
 from repro.sim.nondet import JitterSource
+from repro.workloads import Workload
 from tests.integration.conftest import run_sum
 
 
@@ -135,3 +138,108 @@ class TestStoreBufferSemantics:
         expect = np.arange(63, -1, -1, dtype=np.float32)
         # cross-warp visibility through the commit: exact values
         assert (mem.buffer("res") == expect).all()
+
+
+# Each thread runs ``ctaid % 3 + 1`` rounds of load / own-store /
+# barrier / reload / scatter-reduce, so CTAs retire at different quanta.
+_WAVES_PROG = assemble("""
+    mov.s32 r_i, %gtid
+    shl.s32 r_off, r_i, 2
+    add.s32 r_in, c_in, r_off
+    add.s32 r_sc, c_scratch, r_off
+    rem.s32 r_n, %ctaid, 3
+    add.s32 r_n, r_n, 1
+    mov.s32 r_k, 0
+LOOP:
+    ld.global.f32 r_v, [r_in]
+    st.global.f32 [r_sc], r_v
+    bar.sync
+    ld.global.f32 r_w, [r_sc]
+    add.s32 r_t, r_i, r_k
+    rem.s32 r_t, r_t, c_m
+    shl.s32 r_toff, r_t, 2
+    add.s32 r_ta, c_out, r_toff
+    red.global.add.f32 [r_ta], r_w
+    add.s32 r_k, r_k, 1
+    setp.lt.s32 p_more, r_k, r_n
+@p_more bra LOOP
+    exit
+""")
+
+
+def build_waves():
+    """Two launches on the ``small`` preset (2 CTAs per SM, 16 per wave).
+
+    The first launch has 24 CTAs: a full wave, then 8 that refill SMs
+    as first-wave CTAs retire, leaving some SMs idle for the tail.  The
+    second launch (10 CTAs) refills idle SMs after those quanta.
+    """
+    cta_dim, m = 256, 64
+    n = 24 * cta_dim
+    rng = np.random.default_rng(5)
+    mem = GlobalMemory()
+    params = {
+        "c_in": mem.alloc("in", n, "f32",
+                          init=(rng.standard_normal(n) * 10).astype(np.float32)),
+        "c_scratch": mem.alloc("scratch", n, "f32"),
+        "c_out": mem.alloc("out", m, "f32"),
+        "c_m": m,
+    }
+    kernels = [Kernel("waves", _WAVES_PROG, grid_dim=g, cta_dim=cta_dim,
+                      params=params) for g in (24, 10)]
+    return Workload(name="waves", mem=mem, kernels=kernels,
+                    outputs=["out", "scratch"])
+
+
+#: Recorded before the GPUDet sweeps skipped idle SMs (both engines).
+BC_1K_TITAN_V = {
+    "cycles": 98581,
+    "modes": {"parallel": 42142, "commit": 1839, "serial": 54600},
+    "stalls": {"issued": 2471, "empty": 0, "mem": 2814, "barrier": 0,
+               "inorder": 0, "token": 0, "round": 0, "buffer_full": 0,
+               "flush": 0, "batch": 0, "other": 0},
+    "digest": "e5c4ead29e6f0afbf9e9457e7fa632370c6c926f209bb587c2bcecd2be50c9ee",
+}
+WAVES_SMALL = {
+    "cycles": 42831,
+    "modes": {"parallel": 14225, "commit": 9096, "serial": 19510},
+    "stalls": {"issued": 8072, "empty": 0, "mem": 90173, "barrier": 10915,
+               "inorder": 0, "token": 0, "round": 0, "buffer_full": 0,
+               "flush": 0, "batch": 0, "other": 0},
+    "digest": "4a51f746bf8604362daa291d4a05d1f0b1a51f1f11d61c71747403a7a2661084",
+}
+
+
+def _timing(res):
+    return {
+        "cycles": res.cycles,
+        "modes": dict(res.gpudet_mode_cycles),
+        "stalls": res.stalls.as_dict(),
+        "digest": res.extra["output_digest"],
+    }
+
+
+class TestPinnedTiming:
+    """Exact GPUDet timing on machines that are mostly idle.
+
+    Both engines share the GPUDet controller, so the engine-equivalence
+    tests cannot catch a controller sweep that wrongly skips an occupied
+    SM.  These values were recorded before the sweeps learned to skip
+    idle SMs; any change to them is a behaviour change.
+    """
+
+    # A skipped waiter never wakes; the cycle cap turns that hang into
+    # a SimulationError.
+
+    def test_bc_1k_on_titan_v(self):
+        # One warp on one of 80 SMs, ~230 quanta.
+        res = run_workload(WorkloadRef("bc", ("1k", 32), {}),
+                           ArchSpec.make_gpudet(), GPUConfig.titan_v(),
+                           seed=3, max_cycles=2 * BC_1K_TITAN_V["cycles"])
+        assert _timing(res) == BC_1K_TITAN_V
+
+    def test_two_waves_on_small(self):
+        res = run_workload(build_waves, ArchSpec.make_gpudet(),
+                           GPUConfig.small(), seed=1,
+                           max_cycles=2 * WAVES_SMALL["cycles"])
+        assert _timing(res) == WAVES_SMALL
