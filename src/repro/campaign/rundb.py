@@ -13,7 +13,8 @@ and compare it later —
   digests) and the full ``metrics_dict`` document;
 * host wall-clock seconds (throughput history — never part of any
   determinism surface);
-* sweep **provenance flags**: ``cache_hit`` / ``journal_hit`` /
+* sweep **provenance flags**: ``cache_hit`` / ``journal_hit`` (always
+  0 in new rows; kept so older rows still verify and render) /
   ``serial_fallback`` / ``quarantined`` (a poison job recorded with
   structured ``blame`` instead of a result — degraded mode is part of
   the history, never hidden);

@@ -1,8 +1,8 @@
 """``repro campaign run``: execute a campaign and persist every job.
 
 Each figure's job matrix goes through the sweep engine
-(:func:`repro.harness.sweep.run_jobs` — parallel fan-out, the
-content-addressed cache, crash-tolerant journals), then the results
+(:func:`repro.harness.sweep.run_jobs` — parallel fan-out and the
+content-addressed cache, which is also the resume store), then the results
 come back to this process in submission order and are appended to the
 run database one transaction at a time.  The coordinator is the **only
 writer**: workers never see the database, so the row order — and
@@ -30,7 +30,6 @@ class FigureSummary:
     name: str
     jobs: int
     cache_hits: int
-    journal_hits: int
     simulated: int
     quarantined: int = 0
 
@@ -53,10 +52,6 @@ class CampaignSummary:
         return sum(f.cache_hits for f in self.figures)
 
     @property
-    def journal_hits(self) -> int:
-        return sum(f.journal_hits for f in self.figures)
-
-    @property
     def simulated(self) -> int:
         return sum(f.simulated for f in self.figures)
 
@@ -72,7 +67,7 @@ class CampaignSummary:
 
     @property
     def all_replayed(self) -> bool:
-        """True when every job came from the cache or the journal."""
+        """True when every job came from the cache."""
         return self.simulated == 0 and self.jobs > 0
 
     def table(self) -> Table:
@@ -81,14 +76,13 @@ class CampaignSummary:
             f"(fingerprint {self.fingerprint[:12]}…)"
             + (f" [DEGRADED: {self.quarantined} job(s) quarantined]"
                if self.degraded else ""),
-            ["figure", "jobs", "simulated", "cache hits", "journal hits",
-             "quarantined"],
+            ["figure", "jobs", "simulated", "cache hits", "quarantined"],
         )
         for f in self.figures:
             t.add_row(f.name, f.jobs, f.simulated, f.cache_hits,
-                      f.journal_hits, f.quarantined)
+                      f.quarantined)
         t.add_row("total", self.jobs, self.simulated, self.cache_hits,
-                  self.journal_hits, self.quarantined)
+                  self.quarantined)
         return t
 
 
@@ -98,13 +92,12 @@ def run_campaign(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
-    journal=None,
     db: Optional[RunDB] = None,
     resilience: Optional[ResilienceContext] = None,
 ) -> CampaignSummary:
     """Run every figure of ``campaign`` and append results to the db.
 
-    ``jobs`` / ``cache`` / ``cache_dir`` / ``journal`` are forwarded to
+    ``jobs`` / ``cache`` / ``cache_dir`` are forwarded to
     :func:`run_jobs` (None = session defaults).  Pass an open ``db`` to
     reuse a handle; otherwise ``db_path`` (default
     :func:`default_db_path`) is opened for the duration of the run.
@@ -128,9 +121,8 @@ def run_campaign(
                              normalize=figure.normalize)
             specs = [job.spec for job in figure.jobs]
             results = run_jobs(specs, jobs=jobs, cache=cache,
-                               cache_dir=cache_dir, journal=journal,
-                               resilience=resilience)
-            fig_sum = FigureSummary(figure.name, len(specs), 0, 0, 0)
+                               cache_dir=cache_dir, resilience=resilience)
+            fig_sum = FigureSummary(figure.name, len(specs), 0, 0)
             for index, (job, result) in enumerate(zip(figure.jobs, results)):
                 if result is None:
                     # Quarantined poison job: record blame, not a result.
@@ -150,8 +142,6 @@ def run_campaign(
                     continue
                 if result.extra.get("cache_hit"):
                     fig_sum.cache_hits += 1
-                elif result.extra.get("journal_hit"):
-                    fig_sum.journal_hits += 1
                 else:
                     fig_sum.simulated += 1
                 db.record_run(

@@ -14,8 +14,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: trackers) pins on it.
 #:
 #: v2: ``from_metrics_dict`` round-trips the sweep provenance flags
-#: (``extra['cache_hit']`` / ``extra['journal_hit']``) instead of
-#: silently dropping them.  v1 documents are still accepted — their
+#: (``extra['cache_hit']`` and its siblings) instead of silently
+#: dropping them.  v1 documents are still accepted — their
 #: provenance flags are discarded because v1 producers re-derived them
 #: on load, so a stored flag is stale by construction.
 #:
@@ -200,7 +200,7 @@ class SimResult:
         sweep engine's disk cache (``repro.harness.sweep``).
 
         Version-gated: v2+ documents round-trip the sweep provenance
-        flags (``cache_hit`` / ``journal_hit``); v1 documents (and
+        flags (``cache_hit`` and its siblings); v1 documents (and
         unversioned ones, treated as v1) drop them as the v1 reader
         always did.  v3 documents additionally restore the host
         wall-clock and phase totals from ``host_profile`` (as plain

@@ -1,7 +1,7 @@
 """End-to-end chaos robustness: the `repro chaos` campaign, corruption
-detection through the full simulator stack, journal kill-and-resume
-(real SIGKILL, byte-identical resumed table), and failing-job
-attribution on sweep errors."""
+detection through the full simulator stack, kill-and-resume on the
+result cache (real SIGKILL, byte-identical resumed table), and
+failing-job attribution on sweep errors."""
 
 import os
 import signal
@@ -49,6 +49,26 @@ class TestChaosCampaign:
         assert "diverged as expected" in out
         assert "drop" in out and "dup" in out
         assert "PASSED" in out
+
+    def test_cli_cache_dir_replays_campaign(self, capsys, tmp_path,
+                                            monkeypatch):
+        from repro.cli import main
+        from repro.harness import sweep
+
+        cache_dir = tmp_path / "chaos-cache"
+        argv = ["chaos", "--seeds", "3", "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert len(list(cache_dir.rglob("*.json"))) == 9  # 3 archs x 3
+
+        def no_simulation(spec, obs=None):
+            raise AssertionError("replay simulated a stored job")
+
+        # The rerun replays every campaign job from the cache and
+        # prints the identical verdict table.
+        monkeypatch.setattr(sweep, "_execute_spec", no_simulation)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
 
     def test_corruption_probe_detected_through_stack(self):
         # Not via the CLI: assert on the structured violation payload.
@@ -106,37 +126,42 @@ specs = [
     for n in range(16, 112, 8)
     for arch in (ArchSpec.baseline(), ArchSpec.make_dab())
 ]
-results = run_jobs(specs, jobs=1, cache=False, journal=sys.argv[1])
+results = run_jobs(specs, jobs=1, cache=True, cache_dir=sys.argv[1])
 for r in results:
     print(r.label, r.cycles, r.extra["output_digest"])
-hits = sum(bool(r.extra.get("journal_hit")) for r in results)
-print("journal hits:", hits, file=sys.stderr)
+hits = sum(bool(r.extra.get("cache_hit")) for r in results)
+print("cache hits:", hits, file=sys.stderr)
 """
 
 
+def _entries(cache_dir):
+    return list(cache_dir.rglob("*.json")) if cache_dir.exists() else []
+
+
 class TestJournalKillAndResume:
-    def _run(self, script, journal, **kw):
+    """Kill-and-resume through the result cache, the one resume store."""
+
+    def _run(self, script, cache_dir, **kw):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(_REPO, "src")
-        return subprocess.run([sys.executable, str(script), str(journal)],
+        return subprocess.run([sys.executable, str(script), str(cache_dir)],
                               capture_output=True, text=True, env=env,
                               timeout=300, **kw)
 
     def test_sigkilled_campaign_resumes_byte_identical(self, tmp_path):
         script = tmp_path / "campaign.py"
         script.write_text(_CAMPAIGN)
-        journal = tmp_path / "resume.jsonl"
+        cache_dir = tmp_path / "resume-cache"
 
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(_REPO, "src")
         proc = subprocess.Popen(
-            [sys.executable, str(script), str(journal)],
+            [sys.executable, str(script), str(cache_dir)],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
-        # Wait for >=2 durably journaled jobs, then kill -9 mid-campaign.
+        # Wait for >=2 stored jobs, then kill -9 mid-campaign.
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            if journal.exists() and \
-                    journal.read_bytes().count(b"\n") >= 3:
+            if len(_entries(cache_dir)) >= 2:
                 break
             if proc.poll() is not None:
                 break
@@ -144,33 +169,31 @@ class TestJournalKillAndResume:
         killed_running = proc.poll() is None
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
-        assert journal.exists()
-        journaled_before = journal.read_bytes().count(b"\n")
-        assert journaled_before >= 3  # header + >=2 completed jobs
+        assert len(_entries(cache_dir)) >= 2
 
-        resumed = self._run(script, journal)
+        resumed = self._run(script, cache_dir)
         assert resumed.returncode == 0, resumed.stderr
-        pristine = self._run(script, tmp_path / "fresh.jsonl")
+        pristine = self._run(script, tmp_path / "fresh-cache")
         assert pristine.returncode == 0, pristine.stderr
 
         # The resumed table is byte-identical to the uninterrupted one.
         assert resumed.stdout == pristine.stdout
         if killed_running:
-            # The resume actually restored journaled work.
+            # The resume actually replayed stored work.
             hits = int(resumed.stderr.strip().rsplit(" ", 1)[-1])
             assert hits >= 2
 
     def test_rerun_after_completion_is_all_hits(self, tmp_path):
         script = tmp_path / "campaign.py"
         script.write_text(_CAMPAIGN)
-        journal = tmp_path / "full.jsonl"
-        first = self._run(script, journal)
+        cache_dir = tmp_path / "full-cache"
+        first = self._run(script, cache_dir)
         assert first.returncode == 0, first.stderr
-        second = self._run(script, journal)
+        second = self._run(script, cache_dir)
         assert second.returncode == 0, second.stderr
         assert second.stdout == first.stdout
         n_jobs = len(first.stdout.splitlines())
-        assert second.stderr.strip().endswith(f"journal hits: {n_jobs}")
+        assert second.stderr.strip().endswith(f"cache hits: {n_jobs}")
 
 
 class TestErrorAttribution:

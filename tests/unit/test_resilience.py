@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.resilience import integrity
-from repro.resilience.doctor import diagnose, scan_cache_dir, scan_journal
+from repro.resilience.doctor import diagnose, scan_cache_dir
 from repro.resilience.quarantine import (
     ISOLATION_ATTEMPTS,
     PoisonQuarantine,
@@ -112,15 +112,6 @@ def test_quarantine_file_preserves_bytes(tmp_path):
     assert qpath.parent == integrity.quarantine_dir(store)
 
 
-def test_quarantine_bytes_is_idempotent(tmp_path):
-    store = tmp_path / "sweep.jsonl"
-    first = integrity.quarantine_bytes(store, b"torn tail", "journal-tail")
-    second = integrity.quarantine_bytes(store, b"torn tail", "journal-tail")
-    assert first == second
-    assert first.read_bytes() == b"torn tail"
-    assert len(list(first.parent.iterdir())) == 1
-
-
 # ----------------------------------------------------------------------
 # PoisonQuarantine / ResilienceContext
 # ----------------------------------------------------------------------
@@ -184,39 +175,21 @@ def test_doctor_cache_scan_classifies_and_repairs(tmp_path):
     assert again["quarantined"] == [] and again["verified"] == 1
 
 
-def test_doctor_journal_repair_is_idempotent(tmp_path):
-    from repro.harness.journal import SweepJournal
-
-    path = tmp_path / "sweep.jsonl"
-    with SweepJournal(path, "f" * 64) as j:
-        j.record("a" * 64, {"cycles": 1})
-        j.record("b" * 64, {"cycles": 2})
-    pristine = path.read_bytes()
-    path.write_bytes(pristine + b'{"torn')
-    report = scan_journal(path)
-    assert report["records"] == 2
-    assert report["repaired_bytes"] == len(b'{"torn')
-    assert path.read_bytes() == pristine
-    again = scan_journal(path)
-    assert again["repaired_bytes"] == 0 and again["records"] == 2
-
-
 def test_doctor_diagnose_missing_target(tmp_path):
     report = diagnose(tmp_path / "nope")
     assert not report["ok"]
     assert report["error"] == "target does not exist"
 
 
-def test_doctor_diagnose_dir_covers_journals(tmp_path):
-    from repro.harness.journal import SweepJournal
-
-    (tmp_path / "sub").mkdir()
-    with SweepJournal(tmp_path / "c.jsonl", "f" * 64) as j:
-        j.record("a" * 64, {"cycles": 1})
-    report = diagnose(tmp_path)
-    kinds = [s["kind"] for s in report["stores"]]
-    assert kinds == ["cache", "journal"]
-    assert report["ok"]
+def test_doctor_diagnose_non_sqlite_file_is_an_error(tmp_path):
+    target = tmp_path / "sweep.jsonl"
+    target.write_bytes(b'{"schema": "not a store"}\n')
+    report = diagnose(target)
+    assert not report["ok"]
+    assert report["error"] == "not a cache directory or a run database"
+    assert report["stores"] == []
+    # Reporting is not repairing: the file is left exactly as it was.
+    assert target.read_bytes() == b'{"schema": "not a store"}\n'
 
 
 # ----------------------------------------------------------------------
